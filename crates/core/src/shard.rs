@@ -523,32 +523,33 @@ impl BinShard {
         served: &mut Vec<Ball>,
         waits: &mut Vec<u64>,
     ) -> ShardServeStats {
-        self.serve_impl(round, served, waits, None)
+        self.serve_impl(round, Some(served), waits, None)
     }
 
-    /// [`serve`](Self::serve), additionally appending the **local** bin
-    /// index of each served ball to `bins` (parallel to `served`/`waits`).
+    /// [`serve`](Self::serve) for callers that identify a served ball by
+    /// its bin instead of keeping the ball: appends each served ball's
+    /// waiting time to `waits` and its **local** bin index to `bins`, in
+    /// bin order. The ball itself is `Ball::generated_in(round − wait)`.
     /// The dispatch service uses this to report which bin served each
     /// ticket in its completion notifications.
     pub fn serve_with_bins(
         &mut self,
         round: u64,
-        served: &mut Vec<Ball>,
         waits: &mut Vec<u64>,
         bins: &mut Vec<u32>,
     ) -> ShardServeStats {
-        self.serve_impl(round, served, waits, Some(bins))
+        self.serve_impl(round, None, waits, Some(bins))
     }
 
     fn serve_impl(
         &mut self,
         round: u64,
-        served: &mut Vec<Ball>,
+        mut served: Option<&mut Vec<Ball>>,
         waits: &mut Vec<u64>,
         mut bins: Option<&mut Vec<u32>>,
     ) -> ShardServeStats {
         let mut stats = ShardServeStats::default();
-        let served_before = served.len();
+        let served_before = waits.len();
         match &mut self.store {
             BinStore::Arena(arena) => {
                 for b in 0..self.bin_count {
@@ -561,7 +562,9 @@ impl BinShard {
                     match arena.serve(b) {
                         Some(ball) => {
                             waits.push(ball.age_at(round));
-                            served.push(ball);
+                            if let Some(served) = served.as_deref_mut() {
+                                served.push(ball);
+                            }
                             if let Some(bins) = bins.as_deref_mut() {
                                 bins.push(b as u32);
                             }
@@ -583,7 +586,9 @@ impl BinShard {
                     match bin.serve() {
                         Some(ball) => {
                             waits.push(ball.age_at(round));
-                            served.push(ball);
+                            if let Some(served) = served.as_deref_mut() {
+                                served.push(ball);
+                            }
                             if let Some(bins) = bins.as_deref_mut() {
                                 bins.push(b as u32);
                             }
@@ -598,7 +603,7 @@ impl BinShard {
         }
         if let Some(p) = obs::probes() {
             p.shard_served_balls
-                .add((served.len() - served_before) as u64);
+                .add((waits.len() - served_before) as u64);
         }
         stats
     }
@@ -685,13 +690,12 @@ mod tests {
             &[(0, Ball::generated_in(1)), (2, Ball::generated_in(3))],
             &mut rejected,
         );
-        let mut served = Vec::new();
         let mut waits = Vec::new();
         let mut bins = Vec::new();
-        shard.serve_with_bins(4, &mut served, &mut waits, &mut bins);
+        shard.serve_with_bins(4, &mut waits, &mut bins);
         assert_eq!(bins, vec![0, 2]);
-        assert_eq!(served.len(), bins.len());
-        assert_eq!(waits.len(), bins.len());
+        // Labels 1 and 3 served at round 4.
+        assert_eq!(waits, vec![3, 1]);
     }
 
     #[test]

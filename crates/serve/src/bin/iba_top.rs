@@ -221,6 +221,12 @@ fn render_frame(
         "flow   generated {}  served {}  buffered {}  throughput {:.0} served/s",
         snap.total_generated, snap.total_served, snap.buffered, served_per_s
     );
+    let _ = writeln!(
+        frame,
+        "scratch {:>9} bytes of round buffers kept for reuse  ({} tickets pending)",
+        service.round_scratch_bytes(),
+        service.pending_tickets()
+    );
     match &snap.wait {
         Some(wait) => {
             let _ = writeln!(
@@ -303,6 +309,10 @@ fn snapshot_record(opts: &Options, service: &CappedService, wall_ms: f64) -> Run
         ("total_generated".to_string(), snap.total_generated as f64),
         ("total_served".to_string(), snap.total_served as f64),
         ("balls_moved".to_string(), service.balls_moved() as f64),
+        (
+            "round_scratch_bytes".to_string(),
+            service.round_scratch_bytes() as f64,
+        ),
     ];
     if let Some(wait) = &snap.wait {
         metrics.push(("wait.mean".to_string(), wait.mean));

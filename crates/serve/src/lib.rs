@@ -8,7 +8,10 @@
 //!   into `S` contiguous shards ([`iba_core::shard::BinShard`]), each owned
 //!   by one worker thread. The driver broadcasts the allocate/accept/serve
 //!   phases of every round to the workers over `std::sync::mpsc` channels
-//!   and merges their replies.
+//!   and merges their replies. A round is handled as one batch
+//!   ([`batch`]): bins are drawn in bulk, the round buffers travel to the
+//!   workers and back for reuse, reject lists are k-way merged, and
+//!   pending tickets sit in a ring of per-round queues.
 //! - **Round clock** ([`clock`]) — rounds are logical epochs; an optional
 //!   wall-clock pacing mode spaces them at a fixed interval.
 //! - **Admission front end** ([`dispatch`]) — clients submit requests
@@ -67,6 +70,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod batch;
 pub mod chaos;
 pub mod checkpoint;
 pub mod client;

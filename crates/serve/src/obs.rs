@@ -28,6 +28,9 @@ pub(crate) struct ServeProbes {
     pub buffered: Arc<Gauge>,
     /// Admitted-but-unserved tickets after the last round.
     pub pending_tickets: Arc<Gauge>,
+    /// Heap bytes of round scratch kept for reuse after the last round
+    /// (`CappedService::round_scratch_bytes`).
+    pub round_scratch_bytes: Arc<Gauge>,
     /// Largest per-bin load observed across all rounds so far.
     pub max_load_high_water: Arc<Gauge>,
     /// Client requests admitted from the ingress queue, lifetime.
@@ -108,6 +111,7 @@ impl ServeProbes {
             pool_size: r.gauge("iba_serve_pool_size"),
             buffered: r.gauge("iba_serve_buffered"),
             pending_tickets: r.gauge("iba_serve_pending_tickets"),
+            round_scratch_bytes: r.gauge("iba_serve_round_scratch_bytes"),
             max_load_high_water: r.gauge("iba_serve_max_load_high_water"),
             admitted: r.counter("iba_serve_admitted_total"),
             served: r.counter("iba_serve_served_total"),

@@ -10,17 +10,22 @@
 //!    [`iba_sim::faults::FaultedProcess`]);
 //! 2. generate arrivals — the configured arrival model, client requests
 //!    admitted from the bounded ingress queue, or both — into the pool;
-//! 3. draw one uniform bin per pooled ball (oldest-first) and broadcast
-//!    the routed requests to the shard workers over mpsc channels;
+//! 3. draw one uniform bin per pooled ball (oldest-first, in bulk blocks)
+//!    and hand each shard worker its routed requests over mpsc channels;
 //! 4. merge the workers' replies: rejected balls re-enter the global pool
 //!    (retrying next round), served balls produce waiting times and
 //!    ticket [`Completion`]s.
+//!
+//! Each round is handled as one batch: the round buffers travel to the
+//! workers and back and are reused, the reject lists are k-way merged,
+//! and pending tickets sit in a ring of per-round queues (see
+//! [`crate::batch`]).
 //!
 //! Rejected requests never time out — exactly the paper's pool
 //! semantics, which is what makes the service's trajectory provably
 //! identical to `CappedProcess` in [`RngMode::Central`].
 
-use std::collections::{HashMap, VecDeque};
+use std::mem::size_of;
 use std::ops::Range;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
 use std::thread::JoinHandle;
@@ -37,11 +42,14 @@ use iba_sim::process::RoundReport;
 use iba_sim::stats::Histogram;
 use iba_sim::{AllocationProcess, SimRng};
 
+use crate::batch::{merge_sorted_runs, shrink_excess, PendingTickets};
 use crate::checkpoint::ResumeError;
 use crate::dispatch::{Completion, Dispatcher, Ticket};
 use crate::metrics::ServeSnapshot;
 use crate::obs;
-use crate::shard::{worker_loop, FaultOp, ShardCmd, ShardReply, ShardSnapshot};
+use crate::shard::{
+    worker_loop, FaultOp, RoundBufs, ShardCmd, ShardReply, ShardSnapshot, DRAW_BLOCK,
+};
 
 /// Service checkpoint envelope tag ("IBa SerVe"). The envelope wraps a
 /// complete `iba_core::checkpoint` payload (tag `IBA1`) as an opaque byte
@@ -223,10 +231,16 @@ pub struct CappedService {
     /// Active arrival bursts as `(last_round_inclusive, extra_per_round)`.
     bursts: Vec<(u64, u64)>,
     pool: Pool,
-    /// Tickets admitted in round `label`, awaiting service, FIFO. Balls
-    /// with equal labels are interchangeable, so matching a served ball
-    /// to the longest-waiting ticket of its label is consistent.
-    pending: HashMap<u64, VecDeque<u64>>,
+    /// Tickets admitted in round `label`, awaiting service, FIFO per
+    /// round. Balls with equal labels are interchangeable, so matching a
+    /// served ball to the longest-waiting ticket of its label is
+    /// consistent.
+    pending: PendingTickets,
+    /// Each shard's round buffers, by position; out with the worker
+    /// during a round, back with its reply.
+    shard_bufs: Vec<RoundBufs>,
+    /// The driver's bulk-draw block.
+    draw: Vec<u32>,
     round: u64,
     total_generated: u64,
     total_admitted: u64,
@@ -381,7 +395,9 @@ impl CappedService {
             balls_moved: 0,
             bursts: Vec::new(),
             pool: Pool::with_capacity(capped.predicted_stationary_pool()),
-            pending: HashMap::new(),
+            pending: PendingTickets::new(),
+            shard_bufs: Vec::new(),
+            draw: vec![0; DRAW_BLOCK],
             round: 0,
             total_generated: 0,
             total_admitted: 0,
@@ -450,25 +466,7 @@ impl CappedService {
         let next_ticket_id = dec.u64("ticket watermark")?;
         let total_admitted = dec.u64("total admitted")?;
         let total_expired = dec.u64("total expired")?;
-        let pending_len = dec.usize("pending ticket map")?;
-        let mut pending: HashMap<u64, VecDeque<u64>> = HashMap::with_capacity(pending_len);
-        let mut prev_label = None;
-        for _ in 0..pending_len {
-            let label = dec.u64("pending label")?;
-            if prev_label.is_some_and(|p| p >= label) {
-                return Err(ResumeError::Invalid {
-                    what: "pending label order",
-                });
-            }
-            prev_label = Some(label);
-            let ids = dec.u64_seq("pending ticket ids")?;
-            if ids.is_empty() {
-                return Err(ResumeError::Invalid {
-                    what: "empty pending queue",
-                });
-            }
-            pending.insert(label, ids.into_iter().collect());
-        }
+        let pending = PendingTickets::decode(&mut dec)?;
         // Version 2 appends the membership section; a v1 envelope is a
         // fixed-topology run (live n = configured n, balanced ranges).
         let (live_n, saved_ends, balls_moved, membership_events) = if version >= 2 {
@@ -691,13 +689,7 @@ impl CappedService {
         enc.u64(self.dispatcher.next_id());
         enc.u64(self.total_admitted);
         enc.u64(self.total_expired);
-        let mut labels: Vec<u64> = self.pending.keys().copied().collect();
-        labels.sort_unstable();
-        enc.usize(labels.len());
-        for label in labels {
-            enc.u64(label);
-            enc.u64_seq(self.pending[&label].iter().copied());
-        }
+        self.pending.encode_into(&mut enc);
         // Membership section (envelope v2).
         enc.usize(self.live_n);
         enc.u64_seq(self.ranges.iter().map(|r| r.end as u64));
@@ -853,7 +845,18 @@ impl CappedService {
 
     /// Number of admitted requests not yet served.
     pub fn pending_tickets(&self) -> usize {
-        self.pending.values().map(VecDeque::len).sum()
+        self.pending.len()
+    }
+
+    /// Heap bytes the round path keeps between rounds for reuse: the
+    /// shards' round buffers, the driver's and the workers' draw blocks,
+    /// and the pending ring's spare id buffers. Each recycled buffer is
+    /// shrunk once it holds over twice what its last round needed,
+    /// so a burst's scratch is released once rounds are quiet again.
+    pub fn round_scratch_bytes(&self) -> usize {
+        let bufs: usize = self.shard_bufs.iter().map(RoundBufs::bytes).sum();
+        let draw_blocks = (1 + self.shards) * DRAW_BLOCK * size_of::<u32>();
+        bufs + draw_blocks + self.pending.spare_bytes()
     }
 
     /// Lifetime count of tickets reaped by TTL expiry.
@@ -911,7 +914,6 @@ impl CappedService {
         self.apply_membership(round);
         self.apply_faults(round);
         self.round = round;
-        let n = self.live_n;
 
         // 2. Arrivals: model generation first, then admitted requests —
         // all labeled with the new round.
@@ -929,111 +931,81 @@ impl CappedService {
         // 3. Allocation broadcast: route every pooled ball (oldest-first)
         // to the shard owning its uniformly drawn bin.
         let route_timer = iba_obs::PhaseTimer::start();
-        let balls = self.pool.take();
-        match self.rng_mode {
-            RngMode::Central => {
-                let mut routed: Vec<Vec<(u32, Ball)>> =
-                    (0..self.shards).map(|_| Vec::new()).collect();
-                for ball in balls {
-                    let bin = self.driver_rng.uniform_bin(n);
-                    let s = self.owner_of(bin);
-                    routed[s].push(((bin - self.ranges[s].start) as u32, ball));
-                }
-                for (worker, requests) in self.workers.iter().zip(routed) {
-                    worker
-                        .cmds
-                        .send(ShardCmd::RoundRouted { round, requests })
-                        .expect("shard worker alive");
-                }
-            }
-            RngMode::PerShard => {
-                // The driver picks the owning shard (probability
-                // proportional to shard size); the worker draws the local
-                // bin from its own stream. The composition is uniform
-                // over all n bins.
-                let mut assigned: Vec<Vec<Ball>> = (0..self.shards).map(|_| Vec::new()).collect();
-                for ball in balls {
-                    let bin = self.driver_rng.uniform_bin(n);
-                    let s = self.owner_of(bin);
-                    assigned[s].push(ball);
-                }
-                for (worker, balls) in self.workers.iter().zip(assigned) {
-                    worker
-                        .cmds
-                        .send(ShardCmd::RoundDraw { round, balls })
-                        .expect("shard worker alive");
-                }
-            }
-        }
+        let mut balls = self.pool.take();
+        self.route(&balls);
+        // The routed copies now carry the balls: the pool's buffer is
+        // free to receive this round's merged rejects.
+        balls.clear();
 
         // 4. Collect and merge the shard replies.
         let merge_timer = iba_obs::PhaseTimer::start();
         if let Some(p) = obs::probes() {
             route_timer.observe(&p.phase_route_nanos);
         }
-        let mut slots: Vec<Option<ShardReply>> = (0..self.shards).map(|_| None).collect();
-        for _ in 0..self.shards {
-            let reply = self.replies.recv().expect("shard worker alive");
-            debug_assert_eq!(reply.round, round);
-            let pos = self.worker_pos(reply.shard);
-            slots[pos] = Some(reply);
-        }
-
         let mut accepted = 0u64;
         let mut failed_deletions = 0u64;
         let mut buffered = 0u64;
         let mut max_load = 0u64;
-        let served_before = self.total_served;
-        let mut rejected: Vec<Ball> = Vec::new();
-        let mut waiting_times: Vec<u64> = Vec::new();
-        for (s, slot) in slots.into_iter().enumerate() {
-            let reply = slot.expect("every shard replied exactly once");
+        for _ in 0..self.shards {
+            let reply = self.replies.recv().expect("shard worker alive");
+            debug_assert_eq!(reply.round, round);
+            let pos = self.worker_pos(reply.shard);
             accepted += reply.accepted;
             failed_deletions += reply.failed_deletions;
             buffered += reply.buffered;
             max_load = max_load.max(reply.max_load);
-            self.shard_buffered[s] = reply.buffered;
-            self.shard_max_load[s] = reply.max_load;
-            rejected.extend_from_slice(&reply.rejected);
-            let first_bin = self.ranges[s].start as u64;
-            for ((ball, &wait), &local) in reply
-                .served
-                .iter()
-                .zip(&reply.waits)
-                .zip(&reply.served_bins)
-            {
-                self.complete(ball.label(), round, wait, first_bin + u64::from(local));
-            }
-            // Shards own contiguous bin ranges, so concatenating in shard
-            // order reproduces the bare process's bin-order vector.
-            waiting_times.extend_from_slice(&reply.waits);
+            self.shard_buffered[pos] = reply.buffered;
+            self.shard_max_load[pos] = reply.max_load;
+            self.shard_bufs[pos] = reply.bufs;
         }
-        self.total_served += waiting_times.len() as u64;
+
+        // Shards own contiguous bin ranges, so walking the replies in
+        // shard order reproduces the bare process's bin-order waiting
+        // times and completion order.
+        let served = self.shard_bufs.iter().map(|b| b.waits.len()).sum();
+        let mut waiting_times = Vec::with_capacity(served);
+        for (bufs, range) in self.shard_bufs.iter().zip(&self.ranges) {
+            let first_bin = range.start as u64;
+            for (&wait, &local) in bufs.waits.iter().zip(&bufs.served_bins) {
+                let label = round - wait;
+                if let Some(id) = self.pending.complete(label) {
+                    let _ = self.completions_tx.send(Completion {
+                        ticket: Ticket::from_id(id),
+                        bin: first_bin + u64::from(local),
+                        admitted_round: label,
+                        served_round: round,
+                        waiting_rounds: wait,
+                    });
+                }
+            }
+            waiting_times.extend_from_slice(&bufs.waits);
+        }
+        self.total_served += served as u64;
         self.wait_hist.extend(waiting_times.iter().copied());
 
-        // Per-shard reject lists are age-sorted; balls are ordered by
-        // label only, so one sort reproduces the merged oldest-first pool.
-        rejected.sort();
-        self.pool.restore(rejected);
+        // Each shard's reject list is oldest-first, so a k-way merge
+        // restores the oldest-first pool.
+        merge_sorted_runs(
+            self.shard_bufs.iter().map(|b| b.rejected.as_slice()),
+            Ball::label,
+            &mut balls,
+        );
+        // The buffer's need is the round's throw count, not the rejects
+        // it now holds: next round's arrivals land in it.
+        shrink_excess(&mut balls, thrown as usize);
+        self.pool.restore(balls);
+        for bufs in &mut self.shard_bufs {
+            bufs.shrink_excess();
+        }
 
         // 5. Deadline reaping: forget completion-notification state for
         // tickets past the TTL. The balls themselves stay pooled/buffered
         // and still get served — only the notification is dropped, so the
         // paper's process trajectory is untouched.
-        if let Some(ttl) = self.ticket_ttl {
-            let expired: Vec<u64> = self
+        if let Some(cutoff) = self.ticket_ttl.and_then(|ttl| round.checked_sub(ttl)) {
+            let reaped = self
                 .pending
-                .keys()
-                .copied()
-                .filter(|&label| round.saturating_sub(label) >= ttl)
-                .collect();
-            let mut reaped = 0u64;
-            for label in expired {
-                if let Some(queue) = self.pending.remove(&label) {
-                    reaped += queue.len() as u64;
-                    self.expired_tickets.extend(queue);
-                }
-            }
+                .expire_through(cutoff, &mut self.expired_tickets);
             if reaped > 0 {
                 self.total_expired += reaped;
                 if let Some(p) = obs::probes() {
@@ -1067,8 +1039,9 @@ impl CappedService {
             p.pool_size.set(self.pool.len() as u64);
             p.buffered.set(buffered);
             p.pending_tickets.set(self.pending_tickets() as u64);
+            p.round_scratch_bytes.set(self.round_scratch_bytes() as u64);
             p.max_load_high_water.record_max(max_load);
-            p.served.add(self.total_served - served_before);
+            p.served.add(served as u64);
             iba_obs::flight::recorder().record_round(iba_obs::flight::RoundSample {
                 round,
                 generated: model + admitted,
@@ -1181,17 +1154,14 @@ impl CappedService {
         }
     }
 
-    /// Drains the ingress queue (up to the per-round cap) into the pool.
+    /// Drains the ingress queue (up to the per-round cap) into the pool,
+    /// as one generation and one pending queue for the round.
     fn admit(&mut self, round: u64) -> u64 {
-        let mut admitted = 0u64;
-        while self.max_admit.is_none_or(|cap| admitted < cap) {
-            let Ok(id) = self.ingress.try_recv() else {
-                break;
-            };
-            self.pool.push_generation(round, 1);
-            self.pending.entry(round).or_default().push_back(id);
-            admitted += 1;
-        }
+        let cap = self.max_admit.unwrap_or(u64::MAX);
+        let ingress = &self.ingress;
+        let ids = std::iter::from_fn(|| ingress.try_recv().ok()).take(cap as usize);
+        let admitted = self.pending.admit(round, ids);
+        self.pool.push_generation(round, admitted);
         self.dispatcher.note_admitted(admitted as usize);
         self.total_admitted += admitted;
         if let Some(p) = obs::probes() {
@@ -1200,43 +1170,59 @@ impl CappedService {
         admitted
     }
 
-    /// Matches a served ball to the longest-waiting ticket of its label
-    /// (balls with equal labels are interchangeable) and notifies the
-    /// completion channel. Model-arrival and surge balls have no ticket.
-    fn complete(&mut self, label: u64, served_round: u64, waiting_rounds: u64, bin: u64) {
-        let Some(queue) = self.pending.get_mut(&label) else {
-            return;
-        };
-        if let Some(id) = queue.pop_front() {
-            let _ = self.completions_tx.send(Completion {
-                ticket: Ticket::from_id(id),
-                bin,
-                admitted_round: label,
-                served_round,
-                waiting_rounds,
-            });
+    /// Routes `balls` (the pool, oldest first) into the shards' round
+    /// buffers and sends each worker its round command. Bins are drawn
+    /// in blocks of [`DRAW_BLOCK`]; the bulk draw consumes the driver's
+    /// stream exactly as one `uniform_bin` per ball does, so central
+    /// mode stays bit-identical to the bare process.
+    fn route(&mut self, balls: &[Ball]) {
+        let n = self.live_n;
+        self.shard_bufs.resize_with(self.shards, RoundBufs::default);
+        for bufs in &mut self.shard_bufs {
+            bufs.clear();
         }
-        if queue.is_empty() {
-            self.pending.remove(&label);
+        let ranges = &self.ranges;
+        for block in balls.chunks(DRAW_BLOCK) {
+            let bins = &mut self.draw[..block.len()];
+            self.driver_rng.fill_uniform_bins(n, bins);
+            let pairs = bins.iter().map(|&bin| bin as usize).zip(block);
+            match self.rng_mode {
+                RngMode::Central => {
+                    for (bin, &ball) in pairs {
+                        let s = shard_owning(ranges, bin);
+                        let local = (bin - ranges[s].start) as u32;
+                        self.shard_bufs[s].requests.push((local, ball));
+                    }
+                }
+                // The driver picks the owning shard (probability
+                // proportional to shard size); the worker draws the local
+                // bin from its own stream. The composition is uniform
+                // over all n bins.
+                RngMode::PerShard => {
+                    for (bin, &ball) in pairs {
+                        self.shard_bufs[shard_owning(ranges, bin)].balls.push(ball);
+                    }
+                }
+            }
+        }
+        let round = self.round;
+        for (worker, bufs) in self.workers.iter().zip(&mut self.shard_bufs) {
+            let bufs = std::mem::take(bufs);
+            let cmd = match self.rng_mode {
+                RngMode::Central => ShardCmd::RoundRouted { round, bufs },
+                RngMode::PerShard => ShardCmd::RoundDraw { round, bufs },
+            };
+            worker.cmds.send(cmd).expect("shard worker alive");
         }
     }
 
     fn send_fault(&self, bin: usize, op: FaultOp) {
-        let s = self.owner_of(bin);
+        let s = shard_owning(&self.ranges, bin);
         let local = (bin - self.ranges[s].start) as u32;
         self.workers[s]
             .cmds
             .send(ShardCmd::Fault { local, op })
             .expect("shard worker alive");
-    }
-
-    /// Position of the shard owning global `bin`. Shards own contiguous
-    /// ascending ranges, so this is a binary search over range ends — and
-    /// for the balanced no-churn partition it agrees bin-for-bin with
-    /// `iba_core::shard::shard_of`, preserving Central-mode bit-exactness.
-    fn owner_of(&self, bin: usize) -> usize {
-        debug_assert!(bin < self.live_n);
-        self.ranges.partition_point(|r| r.end <= bin)
     }
 
     /// Current position (= range order) of the worker with stable id
@@ -1466,6 +1452,15 @@ impl CappedService {
             },
         );
     }
+}
+
+/// Position of the shard owning global `bin`. Shards own contiguous
+/// ascending ranges, so this is a binary search over range ends — and for
+/// the balanced no-churn partition it agrees bin-for-bin with
+/// `iba_core::shard::shard_of`, preserving Central-mode bit-exactness.
+fn shard_owning(ranges: &[Range<usize>], bin: usize) -> usize {
+    debug_assert!(ranges.last().is_some_and(|r| bin < r.end));
+    ranges.partition_point(|r| r.end <= bin)
 }
 
 impl Drop for CappedService {

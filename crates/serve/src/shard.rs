@@ -6,13 +6,72 @@
 //! channels deliver in send order, fault commands sent before a round
 //! command are guaranteed to apply before that round executes.
 
+use std::mem::size_of;
 use std::sync::mpsc::{Receiver, Sender};
 
 use iba_core::shard::BinShard;
 use iba_core::{Ball, Capacity};
 use iba_sim::SimRng;
 
+use crate::batch::shrink_excess;
 use crate::obs;
+
+/// Balls per bulk bin draw. The driver and the workers draw bins in
+/// blocks of this many with [`SimRng::fill_uniform_bins`], which consumes
+/// the stream exactly as one `uniform_bin` call per ball does; a block
+/// stays in L1 while its balls are routed.
+pub(crate) const DRAW_BLOCK: usize = 4096;
+
+/// One shard's round buffers. The driver hands them to the worker with
+/// the round command and gets them back, filled, in the [`ShardReply`];
+/// it clears and refills them the next round, so a steady-state round
+/// allocates none of them.
+#[derive(Debug, Default)]
+pub(crate) struct RoundBufs {
+    /// Per-shard RNG mode: the balls routed to this shard, oldest first;
+    /// the worker draws their local bins into `requests`.
+    pub balls: Vec<Ball>,
+    /// `(local bin, ball)` requests, oldest first: filled by the driver
+    /// in central RNG mode, by the worker in per-shard mode.
+    pub requests: Vec<(u32, Ball)>,
+    /// Rejected balls, in request order (hence oldest-first).
+    pub rejected: Vec<Ball>,
+    /// Waiting times of the served balls, in bin order. A served ball's
+    /// label is `round − wait`.
+    pub waits: Vec<u64>,
+    /// Local bin index of each served ball, parallel to `waits`.
+    pub served_bins: Vec<u32>,
+}
+
+impl RoundBufs {
+    /// Empties every buffer, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.balls.clear();
+        self.requests.clear();
+        self.rejected.clear();
+        self.waits.clear();
+        self.served_bins.clear();
+    }
+
+    /// Releases capacity a burst left behind: each buffer is shrunk when
+    /// it holds over twice what this round put in it.
+    pub fn shrink_excess(&mut self) {
+        shrink_excess(&mut self.balls, 0);
+        shrink_excess(&mut self.requests, 0);
+        shrink_excess(&mut self.rejected, 0);
+        shrink_excess(&mut self.waits, 0);
+        shrink_excess(&mut self.served_bins, 0);
+    }
+
+    /// Heap bytes held, by capacity.
+    pub fn bytes(&self) -> usize {
+        self.balls.capacity() * size_of::<Ball>()
+            + self.requests.capacity() * size_of::<(u32, Ball)>()
+            + self.rejected.capacity() * size_of::<Ball>()
+            + self.waits.capacity() * size_of::<u64>()
+            + self.served_bins.capacity() * size_of::<u32>()
+    }
+}
 
 /// A fault operation targeting one local bin of a shard.
 #[derive(Debug, Clone, Copy)]
@@ -28,16 +87,12 @@ pub(crate) enum FaultOp {
 pub(crate) enum ShardCmd {
     /// Apply a fault operation to local bin `local` before the next round.
     Fault { local: u32, op: FaultOp },
-    /// Execute one round on requests already routed to local bins
-    /// (central RNG mode). Requests are ordered oldest-first.
-    RoundRouted {
-        round: u64,
-        requests: Vec<(u32, Ball)>,
-    },
-    /// Execute one round, drawing a uniform local bin per ball from the
-    /// worker's own RNG stream (per-shard RNG mode). Balls are ordered
-    /// oldest-first.
-    RoundDraw { round: u64, balls: Vec<Ball> },
+    /// Execute one round on `bufs.requests`, already routed to local
+    /// bins (central RNG mode).
+    RoundRouted { round: u64, bufs: RoundBufs },
+    /// Execute one round on `bufs.balls`, drawing a uniform local bin per
+    /// ball from the worker's own RNG stream (per-shard RNG mode).
+    RoundDraw { round: u64, bufs: RoundBufs },
     /// Capture the shard's full state for a service checkpoint. The reply
     /// goes to the dedicated `reply` channel so it cannot interleave with
     /// round replies.
@@ -88,14 +143,9 @@ pub(crate) struct ShardReply {
     pub round: u64,
     /// Balls accepted into this shard's bins this round.
     pub accepted: u64,
-    /// Rejected balls, in request order (hence oldest-first).
-    pub rejected: Vec<Ball>,
-    /// Balls served this round, in bin order.
-    pub served: Vec<Ball>,
-    /// Waiting times of the served balls, in bin order.
-    pub waits: Vec<u64>,
-    /// Local bin index of each served ball, parallel to `served`.
-    pub served_bins: Vec<u32>,
+    /// The round command's buffers, carrying the rejected balls and the
+    /// served balls' waits and bins.
+    pub bufs: RoundBufs,
     /// Online bins whose deletion attempt found an empty buffer.
     pub failed_deletions: u64,
     /// Balls left buffered in this shard after the deletion stage.
@@ -113,6 +163,7 @@ pub(crate) fn worker_loop(
     cmds: Receiver<ShardCmd>,
     replies: Sender<ShardReply>,
 ) {
+    let mut draw = vec![0u32; DRAW_BLOCK];
     for cmd in cmds {
         // Membership commands resize the shard between rounds, so the
         // local bin count is re-read per command, never cached.
@@ -131,20 +182,22 @@ pub(crate) fn worker_loop(
                     bins.set_capacity(local as usize, capacity);
                 }
             },
-            ShardCmd::RoundRouted { round, requests } => {
-                if run_round(shard_id, &mut bins, round, &requests, &replies).is_err() {
+            ShardCmd::RoundRouted { round, bufs } => {
+                if run_round(shard_id, &mut bins, round, bufs, &replies).is_err() {
                     return; // driver gone
                 }
             }
-            ShardCmd::RoundDraw { round, balls } => {
+            ShardCmd::RoundDraw { round, mut bufs } => {
                 let rng = rng
                     .as_mut()
                     .expect("RoundDraw requires a per-shard RNG stream");
-                let requests: Vec<(u32, Ball)> = balls
-                    .into_iter()
-                    .map(|ball| (rng.uniform_bin(local_n) as u32, ball))
-                    .collect();
-                if run_round(shard_id, &mut bins, round, &requests, &replies).is_err() {
+                for block in bufs.balls.chunks(DRAW_BLOCK) {
+                    let local = &mut draw[..block.len()];
+                    rng.fill_uniform_bins(local_n, local);
+                    bufs.requests
+                        .extend(local.iter().copied().zip(block.iter().copied()));
+                }
+                if run_round(shard_id, &mut bins, round, bufs, &replies).is_err() {
                     return;
                 }
             }
@@ -189,16 +242,12 @@ fn run_round(
     shard_id: usize,
     bins: &mut BinShard,
     round: u64,
-    requests: &[(u32, Ball)],
+    mut bufs: RoundBufs,
     replies: &Sender<ShardReply>,
 ) -> Result<(), ()> {
     let timer = iba_obs::PhaseTimer::start();
-    let mut rejected = Vec::new();
-    let accepted = bins.accept(requests, &mut rejected);
-    let mut served = Vec::new();
-    let mut waits = Vec::new();
-    let mut served_bins = Vec::new();
-    let stats = bins.serve_with_bins(round, &mut served, &mut waits, &mut served_bins);
+    let accepted = bins.accept(&bufs.requests, &mut bufs.rejected);
+    let stats = bins.serve_with_bins(round, &mut bufs.waits, &mut bufs.served_bins);
     if let Some(p) = obs::probes() {
         timer.observe(&p.shard_round_nanos);
     }
@@ -207,10 +256,7 @@ fn run_round(
             shard: shard_id,
             round,
             accepted,
-            rejected,
-            served,
-            waits,
-            served_bins,
+            bufs,
             failed_deletions: stats.failed_deletions,
             buffered: stats.buffered,
             max_load: stats.max_load,

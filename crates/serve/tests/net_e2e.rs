@@ -238,6 +238,11 @@ fn metrics_scrape_mid_run_parses_strictly_and_is_not_stale() {
             "pool gauge present"
         );
         assert!(
+            expo.value("iba_serve_round_scratch_bytes")
+                .is_some_and(|bytes| bytes > 0.0),
+            "round scratch gauge present after a round"
+        );
+        assert!(
             expo.value("iba_serve_net_connections").is_some(),
             "net connection gauge present"
         );
