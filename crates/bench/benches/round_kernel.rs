@@ -1,15 +1,12 @@
-//! Old-vs-new round-kernel comparison: the legacy scalar loop
-//! ([`KernelMode::Scalar`] — one `VecDeque` per bin, one RNG draw and one
-//! random-access push per ball) against the flat-arena kernel
-//! ([`KernelMode::Arena`] — SoA slot arena, counting-sort acceptance,
-//! bulk RNG). Both kernels compute bit-identical trajectories (see
-//! `crates/core/tests/kernel_differential.rs`), so any wall-clock gap is
-//! pure implementation speed.
+//! Round throughput of the flat-arena kernel (SoA slot arena,
+//! counting-sort acceptance, bulk RNG) through `step_into`, the entry
+//! point the simulation engine drives.
 //!
 //! Cells pin λ = 0.95 (the committed-baseline regime; λn must be
 //! integral, hence the decimal bin counts) and sweep the capacities of
-//! `BENCH_round_kernel.json`. The committed n = 10⁶ baseline itself is
-//! regenerated by the `round_kernel_baseline` binary — this bench is the
+//! `BENCH_round_kernel.json`. The committed n = 10⁶ baseline itself —
+//! including the kernel-vs-oracle ratio `spec_speedup` — is regenerated
+//! by the `round_kernel_baseline` binary; this bench is the
 //! interactive/CI view at bench-friendly sizes.
 //!
 //! Setting `IBA_BENCH_QUICK=1` shrinks the cells and sample counts to a
@@ -19,7 +16,6 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use iba_core::process::KernelMode;
 use iba_core::{CappedConfig, CappedProcess};
 use iba_sim::process::{AllocationProcess, RoundReport};
 use iba_sim::rng::SimRng;
@@ -28,11 +24,11 @@ fn quick() -> bool {
     std::env::var_os("IBA_BENCH_QUICK").is_some()
 }
 
-/// Builds a process on the given kernel and steps it to its stationary
-/// regime so the benched rounds are representative.
-fn warmed(n: usize, c: u32, lambda: f64, kernel: KernelMode, warmup: u64) -> CappedProcess {
+/// Builds a process and steps it to its stationary regime so the benched
+/// rounds are representative.
+fn warmed(n: usize, c: u32, lambda: f64, warmup: u64) -> CappedProcess {
     let config = CappedConfig::new(n, c, lambda).expect("valid cell");
-    let mut p = CappedProcess::with_kernel(config, kernel);
+    let mut p = CappedProcess::new(config);
     p.warm_start();
     let mut rng = SimRng::seed_from(1);
     let mut report = RoundReport::default();
@@ -52,20 +48,13 @@ fn bench_round_kernel(c_bench: &mut Criterion) {
     let mut group = c_bench.benchmark_group("round_kernel");
     group.sample_size(samples);
     for &(n, c) in cells {
-        for kernel in [
-            KernelMode::Scalar,
-            KernelMode::Arena,
-            KernelMode::ArenaSimd,
-            KernelMode::ArenaParallel,
-        ] {
-            let id = BenchmarkId::new(format!("n{n}_c{c}_lambda{lambda}"), format!("{kernel:?}"));
-            group.bench_function(id, |b| {
-                let mut p = warmed(n, c, lambda, kernel, warmup);
-                let mut rng = SimRng::seed_from(2);
-                let mut report = RoundReport::default();
-                b.iter(|| p.step_into(&mut rng, &mut report));
-            });
-        }
+        let id = BenchmarkId::new(format!("n{n}_c{c}_lambda{lambda}"), "arena");
+        group.bench_function(id, |b| {
+            let mut p = warmed(n, c, lambda, warmup);
+            let mut rng = SimRng::seed_from(2);
+            let mut report = RoundReport::default();
+            b.iter(|| p.step_into(&mut rng, &mut report));
+        });
     }
     group.finish();
 }

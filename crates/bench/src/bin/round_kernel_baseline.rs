@@ -1,40 +1,38 @@
 //! Regenerates `BENCH_round_kernel.json` — the repo's committed perf
-//! baseline for the flat-arena round kernel and its vectorized variants.
+//! baseline for the flat-arena round kernel.
 //!
-//! For each `(n, c, λ)` cell the tool runs every kernel variant in
-//! **lockstep on the same seed**, interleaving them round-by-round in
-//! alternating segments so machine drift cancels out of the ratios,
-//! timing each round individually, and asserting the per-round
-//! [`RoundReport`]s are bit-identical across all variants (the
-//! measurement doubles as a differential check). It reports the median
-//! ns/round, rounds/second, ball throughput, and each variant's speedup
-//! over the scalar kernel, then writes everything as JSON.
+//! For each `(n, c, λ)` cell the tool warm-starts one process, then
+//! measures it three ways in alternating segments on the same seed:
+//!
+//! - `arena`: the kernel as the simulation engine drives it —
+//!   `step_into` with a reused report, drawing its bins from the RNG;
+//! - `arena_choices`: a copy of the same process fed the very bins the
+//!   `arena` side drew, through `step_with_choices`;
+//! - `spec`: [`SpecCapped`], the naive Algorithm 1 oracle, started from
+//!   the same warmed state and fed the same choices.
+//!
+//! Every round is timed individually. Each segment asserts that the
+//! choice-fed reports equal the `arena` reports bit for bit, and that the
+//! oracle's reports equal them with waiting times compared as multisets
+//! (the oracle may serve bins in another order within a round), so the
+//! measurement doubles as a differential check. `spec_speedup` — oracle
+//! median over `arena_choices` median on identical inputs — is the ratio
+//! the regression gate watches; `arena.throws_per_sec` is the headline.
 //!
 //! ```text
 //! cargo run --release -p iba-bench --bin round_kernel_baseline -- \
-//!     [--quick] [--n N] [--threads LIST] [--assert-parallel-wins] \
-//!     [--out BENCH_round_kernel.json]
+//!     [--quick] [--n N] [--out BENCH_round_kernel.json]
 //! ```
 //!
-//! The four standing variants are `scalar` (pre-kernel per-ball loop),
-//! `arena` (counting-sort kernel), `arena_simd` (SWAR register sweeps),
-//! and `arena_parallel` (intra-round partitioned workers at the resolved
-//! thread count). `--threads 1,2,4` appends an `arena_parallel_t{t}`
-//! sweep column per listed count. `--assert-parallel-wins` exits
-//! non-zero if `arena_parallel` is slower than `arena` (compared on
-//! minimum round time, the least noise-sensitive statistic) while the
-//! host has at least two cores — the CI guard for the parallel path.
-//!
-//! The default cells are the acceptance grid of the kernel PRs — n = 10⁶,
-//! c ∈ {2, 4, 8}, λ = 0.95 — and take a few minutes; `--quick` shrinks n
-//! to 20 000 for a seconds-long smoke run (do **not** commit quick
-//! output as the baseline).
+//! The default cells are n = 10⁶, c ∈ {2, 4, 8}, λ = 0.95 and take a few
+//! minutes; `--quick` shrinks n to 20 000 for a seconds-long smoke run
+//! (do **not** commit quick output as the baseline).
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use iba_core::process::KernelMode;
+use iba_core::spec::SpecCapped;
 use iba_core::{CappedConfig, CappedProcess};
 use iba_sim::process::{AllocationProcess, RoundReport};
 use iba_sim::rng::SimRng;
@@ -42,44 +40,14 @@ use iba_sim::rng::SimRng;
 /// Rounds run before measurement starts (on top of the warm-started
 /// pool), so timed rounds sit in the stationary regime.
 const WARMUP_ROUNDS: u64 = 48;
-/// Alternating per-variant measurement segments per cell.
+/// Alternating measurement segments per cell.
 const SEGMENTS: usize = 8;
-/// Timed rounds per variant per segment; each segment also runs one
-/// untimed round first to re-warm the caches after the other variants'
-/// segments evicted them.
+/// Timed rounds per side per segment; each segment also runs one untimed
+/// round first to re-warm the caches after the other side evicted them.
 const ROUNDS_PER_SEGMENT: usize = 4;
-/// Individually timed rounds per variant per cell.
+/// Individually timed rounds per side per cell.
 const MEASURED_ROUNDS: usize = SEGMENTS * ROUNDS_PER_SEGMENT;
 const SEED: u64 = 20210705; // ICDCS'21 presentation date, arbitrary but fixed
-
-/// One benched kernel configuration.
-#[derive(Clone)]
-struct VariantSpec {
-    /// JSON key (`scalar`, `arena`, `arena_simd`, `arena_parallel`,
-    /// `arena_parallel_t{t}`).
-    key: String,
-    kernel: KernelMode,
-    /// Worker count for parallel variants (`None` = mode default).
-    threads: Option<usize>,
-}
-
-struct CellMeasurement {
-    n: usize,
-    c: u32,
-    lambda: f64,
-    thrown_per_round: u64,
-    /// Stats per variant, in `VariantSpec` order (scalar first).
-    variants: Vec<(VariantSpec, KernelStats)>,
-}
-
-impl CellMeasurement {
-    fn stats(&self, key: &str) -> Option<&KernelStats> {
-        self.variants
-            .iter()
-            .find(|(spec, _)| spec.key == key)
-            .map(|(_, stats)| stats)
-    }
-}
 
 struct KernelStats {
     median_ns_per_round: u128,
@@ -90,7 +58,7 @@ struct KernelStats {
     throws_per_sec: f64,
 }
 
-/// Folds one variant's per-round samples into its summary stats.
+/// Folds one side's per-round samples into its summary stats.
 fn summarize(mut samples: Vec<Duration>, thrown_per_round: u64) -> KernelStats {
     samples.sort_unstable();
     let median = samples[samples.len() / 2].as_nanos();
@@ -104,194 +72,166 @@ fn summarize(mut samples: Vec<Duration>, thrown_per_round: u64) -> KernelStats {
     }
 }
 
-/// One variant's live process plus its measurement state.
-struct Runner {
-    spec: VariantSpec,
-    process: CappedProcess,
-    rng: SimRng,
-    report: RoundReport,
-    samples: Vec<Duration>,
+struct CellMeasurement {
+    n: usize,
+    c: u32,
+    lambda: f64,
+    thrown_per_round: u64,
+    /// `arena`, `arena_choices` and `spec`, in that order.
+    sides: [(&'static str, KernelStats); 3],
 }
 
-impl Runner {
-    fn new(spec: VariantSpec, config: &CappedConfig) -> Self {
-        let mut process = CappedProcess::with_kernel(config.clone(), spec.kernel);
-        if let Some(t) = spec.threads {
-            process.set_kernel_threads(t);
-        }
-        process.warm_start();
-        Runner {
-            spec,
-            process,
-            rng: SimRng::seed_from(SEED),
-            report: RoundReport::default(),
-            samples: Vec::with_capacity(MEASURED_ROUNDS),
-        }
-    }
-
-    /// One round through this variant's driver entry point. The scalar
-    /// side runs the per-round `step()` API — the only driver that
-    /// existed before the kernel landed (a fresh report, and with it the
-    /// waiting-time vector, is allocated every round, exactly as the
-    /// simulation engine used to do). Every arena-family variant runs the
-    /// kernel the way the engine drives it today: `step_into` with a
-    /// reused report.
-    fn step(&mut self) {
-        if self.spec.kernel == KernelMode::Scalar {
-            self.report = self.process.step(&mut self.rng);
-        } else {
-            self.process.step_into(&mut self.rng, &mut self.report);
-        }
+impl CellMeasurement {
+    fn spec_speedup(&self) -> f64 {
+        let [_, (_, choices), (_, spec)] = &self.sides;
+        spec.median_ns_per_round as f64 / choices.median_ns_per_round as f64
     }
 }
 
-/// Runs every variant in **lockstep segments** on the same seed: each
-/// segment runs, per variant, one untimed cache re-warm round plus
-/// [`ROUNDS_PER_SEGMENT`] timed rounds, then asserts all variants'
-/// [`RoundReport`]s are bit-identical. Alternating segments means slow
-/// machine drift (frequency scaling, co-tenants) hits every side of the
-/// ratios roughly equally instead of skewing whichever variant ran in
-/// the noisier phase, while the re-warm round keeps each variant's timed
-/// rounds cache-warm as in steady-state production use; the per-segment
-/// assert turns the measurement into a differential check of the whole
-/// trajectory.
-fn measure_cell(n: usize, c: u32, lambda: f64, specs: &[VariantSpec]) -> CellMeasurement {
+/// Asserts the oracle's report equals the kernel's, waiting times as
+/// multisets.
+fn assert_matches_spec(kernel: &RoundReport, spec: &RoundReport, what: &str) {
+    let (mut k, mut s) = (kernel.clone(), spec.clone());
+    k.waiting_times.sort_unstable();
+    s.waiting_times.sort_unstable();
+    assert_eq!(k, s, "spec oracle diverged from the arena kernel: {what}");
+}
+
+/// Runs the three sides in alternating segments (see the module docs):
+/// per segment, `arena` runs one untimed re-warm round plus
+/// [`ROUNDS_PER_SEGMENT`] timed rounds, then `arena_choices` and `spec`
+/// replay the same rounds, each as one block, from the bins `arena`
+/// drew. Alternating segments means slow machine drift hits every side
+/// of the ratio roughly equally.
+fn measure_cell(n: usize, c: u32, lambda: f64) -> CellMeasurement {
     eprintln!("measuring n={n} c={c} lambda={lambda} ...");
     let config = CappedConfig::new(n, c, lambda).expect("valid cell");
-    let mut runners: Vec<Runner> = specs
-        .iter()
-        .map(|spec| Runner::new(spec.clone(), &config))
-        .collect();
-    for runner in runners.iter_mut() {
-        for _ in 0..WARMUP_ROUNDS {
-            runner.step();
-        }
+    let mut arena = CappedProcess::new(config);
+    arena.warm_start();
+    let mut rng = SimRng::seed_from(SEED);
+    let mut report = RoundReport::default();
+    for _ in 0..WARMUP_ROUNDS {
+        arena.step_into(&mut rng, &mut report);
     }
+    let mut choice_fed = arena.clone();
+    let mut spec = SpecCapped::from_process(&arena);
+    let mut choice_rng = rng.clone();
+
+    let mut samples: [Vec<Duration>; 3] = Default::default();
     let mut thrown_total = 0u64;
+    let mut draws: Vec<u32> = Vec::new();
     for segment in 0..SEGMENTS {
-        for runner in runners.iter_mut() {
-            runner.step();
-            for _ in 0..ROUNDS_PER_SEGMENT {
-                let start = Instant::now();
-                runner.step();
-                runner.samples.push(start.elapsed());
+        let mut expected = Vec::with_capacity(ROUNDS_PER_SEGMENT + 1);
+        for r in 0..=ROUNDS_PER_SEGMENT {
+            let start = Instant::now();
+            arena.step_into(&mut rng, &mut report);
+            if r > 0 {
+                samples[0].push(start.elapsed());
+                thrown_total += report.thrown;
             }
+            expected.push(report.clone());
         }
-        thrown_total += ROUNDS_PER_SEGMENT as u64 * runners[0].report.thrown;
-        let (reference, rest) = runners.split_first().expect("at least one variant");
-        for runner in rest {
+        // The bins `arena` drew this segment, replayed from its RNG
+        // position at the segment start.
+        let choices: Vec<Vec<usize>> = expected
+            .iter()
+            .map(|r| {
+                draws.resize(r.thrown as usize, 0);
+                choice_rng.fill_uniform_bins(n, &mut draws);
+                draws.iter().map(|&b| b as usize).collect()
+            })
+            .collect();
+        for (r, (round_choices, want)) in choices.iter().zip(&expected).enumerate() {
+            let start = Instant::now();
+            let got = choice_fed.step_with_choices(round_choices);
+            if r > 0 {
+                samples[1].push(start.elapsed());
+            }
             assert_eq!(
-                runner.report, reference.report,
-                "{} diverged from {} in segment {segment} at n={n} c={c} lambda={lambda}",
-                runner.spec.key, reference.spec.key
+                &got, want,
+                "choice-fed arena diverged in segment {segment} at n={n} c={c}"
             );
+        }
+        for (r, (round_choices, want)) in choices.iter().zip(&expected).enumerate() {
+            let start = Instant::now();
+            let got = spec.step_with_choices(round_choices);
+            if r > 0 {
+                samples[2].push(start.elapsed());
+            }
+            assert_matches_spec(want, &got, &format!("segment {segment} at n={n} c={c}"));
         }
     }
     let thrown = thrown_total / MEASURED_ROUNDS as u64;
-    let variants: Vec<(VariantSpec, KernelStats)> = runners
-        .into_iter()
-        .map(|r| {
-            let stats = summarize(r.samples, thrown);
-            (r.spec, stats)
-        })
-        .collect();
-    let scalar_median = variants[0].1.median_ns_per_round;
-    for (spec, stats) in &variants {
-        let speedup = scalar_median as f64 / stats.median_ns_per_round as f64;
-        eprintln!(
-            "  {:<18} {:>12} ns/round   {:>14.0} throws/s   {speedup:.2}x vs scalar",
-            spec.key, stats.median_ns_per_round, stats.throws_per_sec
-        );
-    }
-    CellMeasurement {
+    let [a, b, s] = samples;
+    let cell = CellMeasurement {
         n,
         c,
         lambda,
         thrown_per_round: thrown,
-        variants,
+        sides: [
+            ("arena", summarize(a, thrown)),
+            ("arena_choices", summarize(b, thrown)),
+            ("spec", summarize(s, thrown)),
+        ],
+    };
+    for (key, stats) in &cell.sides {
+        eprintln!(
+            "  {key:<14} {:>12} ns/round   {:>14.0} throws/s",
+            stats.median_ns_per_round, stats.throws_per_sec
+        );
     }
+    eprintln!("  spec_speedup   {:.2}x", cell.spec_speedup());
+    cell
 }
 
-fn render_json(cells: &[CellMeasurement], parallel_threads: usize) -> String {
+fn render_json(cells: &[CellMeasurement]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"benchmark\": \"round_kernel\",\n");
     out.push_str(
-        "  \"description\": \"CAPPED(c, lambda) round throughput across kernel generations: \
-         legacy scalar kernel through the pre-kernel per-round step() API (VecDeque-per-bin, \
-         per-ball RNG, fresh report allocation each round) vs the flat-arena counting-sort \
-         kernel, the SWAR register-sweep kernel, and the intra-round partitioned parallel \
-         kernel, all through step_into with reused round scratch. Same seed, bit-identical \
-         trajectories, alternating measurement segments; median over timed rounds in the \
-         stationary regime.\",\n",
+        "  \"description\": \"CAPPED(c, lambda) round throughput of the flat-arena counting-sort \
+         kernel: arena = step_into with bins drawn from the RNG and a reused report; \
+         arena_choices = the same process fed the same bins through step_with_choices; spec = \
+         the naive Algorithm 1 oracle (SpecCapped) started from the same warmed state and fed \
+         the same bins. Same seed, alternating measurement segments, reports asserted equal \
+         (oracle waits as multisets); median over timed rounds in the stationary regime. \
+         spec_speedup = spec median / arena_choices median.\",\n",
     );
     out.push_str("  \"regenerate\": \"cargo run --release -p iba-bench --bin round_kernel_baseline -- --out BENCH_round_kernel.json\",\n");
     let _ = writeln!(out, "  \"seed\": {SEED},");
     let _ = writeln!(out, "  \"warmup_rounds\": {WARMUP_ROUNDS},");
     let _ = writeln!(out, "  \"measured_rounds\": {MEASURED_ROUNDS},");
-    let _ = writeln!(
-        out,
-        "  \"available_parallelism\": {},",
-        available_parallelism()
-    );
-    let _ = writeln!(out, "  \"parallel_threads\": {parallel_threads},");
     out.push_str("  \"cells\": [\n");
     for (i, cell) in cells.iter().enumerate() {
-        let scalar_median = cell.variants[0].1.median_ns_per_round;
         let _ = writeln!(out, "    {{");
         let _ = writeln!(
             out,
             "      \"n\": {}, \"c\": {}, \"lambda\": {}, \"thrown_per_round\": {},",
             cell.n, cell.c, cell.lambda, cell.thrown_per_round
         );
-        for (spec, stats) in &cell.variants {
-            let threads = spec
-                .threads
-                .map_or(String::new(), |t| format!("\"threads\": {t}, "));
+        for (key, stats) in &cell.sides {
             let _ = writeln!(
                 out,
-                "      \"{}\": {{ {threads}\"median_ns_per_round\": {}, \
+                "      \"{key}\": {{ \"median_ns_per_round\": {}, \
                  \"min_ns_per_round\": {}, \"rounds_per_sec\": {:.3}, \
                  \"throws_per_sec\": {:.0} }},",
-                spec.key,
                 stats.median_ns_per_round,
                 stats.min_ns_per_round,
                 stats.rounds_per_sec,
                 stats.throws_per_sec
             );
         }
-        for (key, label) in [
-            ("arena", "arena_speedup"),
-            ("arena_simd", "simd_speedup"),
-            ("arena_parallel", "parallel_speedup"),
-        ] {
-            if let Some(stats) = cell.stats(key) {
-                let speedup = scalar_median as f64 / stats.median_ns_per_round as f64;
-                let _ = writeln!(out, "      \"{label}\": {speedup:.3},");
-            }
-        }
-        // Strip the trailing comma of the last entry to stay valid JSON.
-        let trimmed = out.trim_end_matches('\n').trim_end_matches(',').len();
-        out.truncate(trimmed);
-        out.push('\n');
+        let _ = writeln!(out, "      \"spec_speedup\": {:.3}", cell.spec_speedup());
         let _ = writeln!(out, "    }}{}", if i + 1 < cells.len() { "," } else { "" });
     }
     out.push_str("  ]\n}\n");
     out
 }
 
-fn available_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
 fn main() -> ExitCode {
     let started = Instant::now();
     let mut quick = false;
-    let mut assert_parallel_wins = false;
     let mut n_override: Option<usize> = None;
-    let mut thread_sweep: Vec<usize> = Vec::new();
     let mut out_path = String::from("BENCH_round_kernel.json");
     let mut registry: Option<String> = None;
     let mut force = false;
@@ -299,7 +239,6 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => quick = true,
-            "--assert-parallel-wins" => assert_parallel_wins = true,
             "--force" => force = true,
             "--registry" => match args.next() {
                 Some(path) => registry = Some(path),
@@ -315,23 +254,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--threads" => {
-                let parsed: Option<Vec<usize>> = args
-                    .next()
-                    .map(|list| {
-                        list.split(',')
-                            .map(|t| t.trim().parse::<usize>().ok().filter(|&t| t >= 1))
-                            .collect()
-                    })
-                    .unwrap_or(None);
-                match parsed {
-                    Some(list) if !list.is_empty() => thread_sweep = list,
-                    _ => {
-                        eprintln!("--threads requires a comma-separated list of counts >= 1");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             "--out" => match args.next() {
                 Some(path) => out_path = path,
                 None => {
@@ -342,113 +264,38 @@ fn main() -> ExitCode {
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
-                    "usage: round_kernel_baseline [--quick] [--n N] [--threads LIST] \
-                     [--assert-parallel-wins] [--out BENCH_round_kernel.json] \
-                     [--registry PATH] [--force]"
+                    "usage: round_kernel_baseline [--quick] [--n N] \
+                     [--out BENCH_round_kernel.json] [--registry PATH] [--force]"
                 );
                 return ExitCode::FAILURE;
             }
         }
     }
 
-    let cores = available_parallelism();
-    let parallel_threads = CappedProcess::with_kernel(
-        CappedConfig::new(16, 2, 0.75).expect("valid probe config"),
-        KernelMode::ArenaParallel,
-    )
-    .kernel_threads();
-    let mut specs = vec![
-        VariantSpec {
-            key: "scalar".into(),
-            kernel: KernelMode::Scalar,
-            threads: None,
-        },
-        VariantSpec {
-            key: "arena".into(),
-            kernel: KernelMode::Arena,
-            threads: None,
-        },
-        VariantSpec {
-            key: "arena_simd".into(),
-            kernel: KernelMode::ArenaSimd,
-            threads: None,
-        },
-        VariantSpec {
-            key: "arena_parallel".into(),
-            kernel: KernelMode::ArenaParallel,
-            threads: Some(parallel_threads),
-        },
-    ];
-    for &t in &thread_sweep {
-        if t == parallel_threads {
-            continue; // already covered by the standing variant
-        }
-        specs.push(VariantSpec {
-            key: format!("arena_parallel_t{t}"),
-            kernel: KernelMode::ArenaParallel,
-            threads: Some(t),
-        });
-    }
-
     let n = n_override.unwrap_or(if quick { 20_000 } else { 1_000_000 });
     let lambda = 0.95;
     let cells: Vec<CellMeasurement> = [2u32, 4, 8]
         .iter()
-        .map(|&c| measure_cell(n, c, lambda, &specs))
+        .map(|&c| measure_cell(n, c, lambda))
         .collect();
 
-    let json = render_json(&cells, parallel_threads);
-    let json = match iba_bench::prov::finalize(
+    let json = render_json(&cells);
+    match iba_bench::prov::finalize(
         "round_kernel",
         &json,
         std::path::Path::new(&out_path),
         registry.as_deref().map(std::path::Path::new),
         force,
-        Some(("arena_parallel", parallel_threads)),
+        Some(("arena", 1)),
         started.elapsed().as_secs_f64() * 1e3,
     ) {
-        Ok(stamped) => stamped,
+        Ok(stamped) => {
+            println!("{stamped}");
+            ExitCode::SUCCESS
+        }
         Err(err) => {
             eprintln!("{err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("{json}");
-    let mut failed = false;
-    for cell in &cells {
-        let arena = cell.stats("arena").expect("standing variant");
-        let scalar_median = cell.variants[0].1.median_ns_per_round;
-        let speedup = scalar_median as f64 / arena.median_ns_per_round as f64;
-        if speedup < 2.0 {
-            eprintln!(
-                "WARNING: arena speedup {speedup:.2}x below the 2x acceptance bar at n={} c={}",
-                cell.n, cell.c
-            );
-        }
-        if assert_parallel_wins {
-            let parallel = cell.stats("arena_parallel").expect("standing variant");
-            if cores >= 2 && parallel_threads >= 2 {
-                // Minimum round time: the least noise-sensitive statistic
-                // for a CI gate on shared runners.
-                if parallel.min_ns_per_round > arena.min_ns_per_round {
-                    eprintln!(
-                        "FAIL: arena_parallel min {} ns/round is slower than arena min {} \
-                         ns/round at n={} c={} ({cores} cores, {parallel_threads} threads)",
-                        parallel.min_ns_per_round, arena.min_ns_per_round, cell.n, cell.c
-                    );
-                    failed = true;
-                }
-            } else {
-                eprintln!(
-                    "note: --assert-parallel-wins skipped at n={} c={} \
-                     ({cores} cores / {parallel_threads} threads resolved — need >= 2)",
-                    cell.n, cell.c
-                );
-            }
+            ExitCode::FAILURE
         }
     }
-    if failed {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }

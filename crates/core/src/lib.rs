@@ -46,7 +46,6 @@
 
 pub mod arena;
 pub mod ball;
-pub mod buffer;
 pub mod checkpoint;
 pub mod config;
 pub mod continuous;
@@ -57,17 +56,14 @@ mod obs;
 pub mod pool;
 pub mod process;
 pub mod shard;
-mod simd;
 pub mod spec;
 
 pub use arena::{BinArena, BinView};
 pub use ball::Ball;
-pub use buffer::BinBuffer;
 pub use config::{AcceptancePolicy, Capacity, CappedConfig};
 pub use coupling::CoupledRun;
 pub use metrics::WaitQuantiles;
 pub use modcapped::ModCappedProcess;
 pub use pool::Pool;
 pub use process::CappedProcess;
-pub use process::KernelMode;
 pub use shard::{shard_of, shard_range, BinShard};

@@ -13,7 +13,11 @@
 //! Keep this module boring. If a behavior question ever arises, this file
 //! is the answer; the optimized process is the one under suspicion.
 
-use iba_sim::process::RoundReport;
+use iba_sim::arrivals::ArrivalModel;
+use iba_sim::process::{AllocationProcess, RoundReport};
+
+use crate::config::Capacity;
+use crate::process::CappedProcess;
 
 /// A ball in the specification: generation round plus a stable identity
 /// (the order it entered the pool), used only for deterministic
@@ -66,6 +70,52 @@ impl SpecCapped {
             round: 0,
             next_id: 0,
         }
+    }
+
+    /// Starts the specification from a process's state — its round, pool
+    /// and bin queues — so a differential run can begin mid-regime, for
+    /// example from a warm-started stationary pool.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the process has deterministic arrivals, one uniform
+    /// finite capacity on every bin, and no offline bin.
+    pub fn from_process(process: &CappedProcess) -> Self {
+        let config = process.config();
+        let ArrivalModel::Deterministic { batch } = *config.arrivals() else {
+            panic!("the specification needs deterministic arrivals");
+        };
+        let Capacity::Finite(c) = config.capacity() else {
+            panic!("the specification needs a finite capacity");
+        };
+        let mut spec = SpecCapped::new(config.bins(), c.get(), batch);
+        for (i, queue) in spec.queues.iter_mut().enumerate() {
+            let bin = process.bin(i);
+            assert!(
+                bin.capacity() == config.capacity() && !process.is_bin_offline(i),
+                "the specification models uniform online bins only"
+            );
+            // Queued balls never compete again, so their identity is moot.
+            *queue = bin
+                .iter()
+                .map(|b| SpecBall {
+                    label: b.label(),
+                    id: 0,
+                })
+                .collect();
+        }
+        spec.pool = process
+            .pool()
+            .iter()
+            .zip(0..)
+            .map(|(b, id)| SpecBall {
+                label: b.label(),
+                id,
+            })
+            .collect();
+        spec.next_id = spec.pool.len() as u64;
+        spec.round = process.round();
+        spec
     }
 
     /// Pool size `m(t)`.
@@ -218,6 +268,31 @@ mod tests {
         assert_eq!(r2.waiting_times, vec![0]);
         let r3 = spec.step_with_choices(&[0]);
         assert_eq!(r3.waiting_times, vec![0]);
+    }
+
+    #[test]
+    fn from_process_continues_a_warm_started_process() {
+        use crate::config::CappedConfig;
+        let mut p = CappedProcess::new(CappedConfig::new(32, 2, 0.75).unwrap());
+        p.warm_start();
+        let mut rng = iba_sim::SimRng::seed_from(5);
+        for _ in 0..20 {
+            p.step(&mut rng);
+        }
+        let mut spec = SpecCapped::from_process(&p);
+        assert_eq!((spec.round(), spec.pool_size()), (20, p.pool_size()));
+        for _ in 0..30 {
+            let choices: Vec<usize> = (0..p.next_throw_count())
+                .map(|_| rng.uniform_bin(32))
+                .collect();
+            let (mut a, mut b) = (
+                p.step_with_choices(&choices),
+                spec.step_with_choices(&choices),
+            );
+            a.waiting_times.sort_unstable();
+            b.waiting_times.sort_unstable();
+            assert_eq!(a, b);
+        }
     }
 
     #[test]

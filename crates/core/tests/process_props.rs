@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use iba_core::{Ball, BinBuffer, Capacity, CappedConfig, CappedProcess, Pool};
+use iba_core::{Ball, BinArena, Capacity, CappedConfig, CappedProcess, Pool};
 use iba_sim::process::AllocationProcess;
 use iba_sim::SimRng;
 
@@ -85,33 +85,44 @@ proptest! {
         }
     }
 
-    /// Buffers never exceed capacity and serve FIFO for arbitrary
-    /// operation sequences.
+    /// A one-bin arena never exceeds its capacity and serves FIFO for
+    /// arbitrary operation sequences. `cap == 0` stands for an unbounded
+    /// bin: it starts on a one-slot ring, so its pushes outgrow the ring
+    /// and force the stride to grow with the balls in place.
     #[test]
     fn buffer_respects_capacity_and_fifo(
-        cap in 1u32..8,
+        cap in 0u32..8,
         ops in prop::collection::vec(any::<bool>(), 1..200),
     ) {
-        let mut buf = BinBuffer::new(Capacity::finite(cap).unwrap());
+        let capacity = match cap {
+            0 => Capacity::Infinite,
+            c => Capacity::finite(c).unwrap(),
+        };
+        let mut bin = BinArena::new(vec![capacity]);
         let mut model: std::collections::VecDeque<u64> = Default::default();
         let mut label = 0u64;
+        let mut peak = 0usize;
         for push in ops {
             if push {
                 label += 1;
-                let accepted = buf.try_accept(Ball::generated_in(label));
-                if model.len() < cap as usize {
+                let accepted = bin.try_accept(0, Ball::generated_in(label));
+                if capacity.has_room(model.len()) {
                     prop_assert!(accepted);
                     model.push_back(label);
                 } else {
                     prop_assert!(!accepted);
                 }
             } else {
-                let served = buf.serve().map(|b| b.label());
+                let served = bin.serve(0).map(|b| b.label());
                 prop_assert_eq!(served, model.pop_front());
             }
-            prop_assert_eq!(buf.len(), model.len());
-            prop_assert!(buf.len() <= cap as usize);
+            prop_assert_eq!(bin.len(0), model.len());
+            prop_assert!(model.len() <= capacity.as_finite().map_or(usize::MAX, |c| c as usize));
+            let held: Vec<u64> = bin.iter_bin(0).map(|b| b.label()).collect();
+            prop_assert_eq!(held, Vec::from(model.clone()));
+            peak = peak.max(model.len());
         }
+        prop_assert!(bin.stride() >= peak, "the ring must cover the largest load");
     }
 
     /// The pool keeps balls age-sorted through arbitrary generation bursts.

@@ -320,7 +320,7 @@ mod tests {
     #[test]
     fn directions_are_inferred_from_names() {
         assert_eq!(
-            direction_for("cells.0.arena_speedup"),
+            direction_for("cells.0.spec_speedup"),
             Direction::HigherIsBetter
         );
         assert_eq!(direction_for("goodput_retained"), Direction::HigherIsBetter);
@@ -339,24 +339,24 @@ mod tests {
     #[test]
     fn artificial_regression_past_threshold_fails_the_gate() {
         let baseline = metrics(&[
-            ("cells.0.arena_speedup", 3.0),
+            ("cells.0.spec_speedup", 3.0),
             ("rows.0.avg_wait", 2.0),
             ("goodput_retained", 0.8),
         ]);
         // 30% speedup loss: well past the default 15%.
         let regressed = metrics(&[
-            ("cells.0.arena_speedup", 2.1),
+            ("cells.0.spec_speedup", 2.1),
             ("rows.0.avg_wait", 2.0),
             ("goodput_retained", 0.8),
         ]);
         let report = compare("test", &baseline, &regressed, &GateConfig::default());
         assert!(!report.passed());
         let failed: Vec<&str> = report.failures().map(|c| c.metric.as_str()).collect();
-        assert_eq!(failed, ["cells.0.arena_speedup"]);
+        assert_eq!(failed, ["cells.0.spec_speedup"]);
 
         // The same values inside the threshold pass.
         let ok = metrics(&[
-            ("cells.0.arena_speedup", 2.7),
+            ("cells.0.spec_speedup", 2.7),
             ("rows.0.avg_wait", 2.2),
             ("goodput_retained", 0.75),
         ]);
@@ -364,7 +364,7 @@ mod tests {
 
         // Lower-is-better regressions fail too.
         let slow = metrics(&[
-            ("cells.0.arena_speedup", 3.0),
+            ("cells.0.spec_speedup", 3.0),
             ("rows.0.avg_wait", 2.5),
             ("goodput_retained", 0.8),
         ]);

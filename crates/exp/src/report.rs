@@ -60,11 +60,9 @@ pub struct ReportInput {
 fn headline_metrics(benchmark: &str) -> &'static [&'static str] {
     match benchmark {
         "round_kernel" => &[
-            "cells.0.arena_speedup",
-            "cells.1.arena_speedup",
-            "cells.2.arena_speedup",
-            "cells.0.simd_speedup",
-            "cells.0.parallel_speedup",
+            "cells.0.spec_speedup",
+            "cells.1.spec_speedup",
+            "cells.2.spec_speedup",
         ],
         "obs_overhead" => &["cells.0.overhead_percent"],
         "serve_net" => &["accepted_per_sec", "admission_latency_us.p99"],
@@ -479,7 +477,7 @@ mod tests {
         let input = ReportInput {
             generated_unix: 1_750_000_000,
             bench: vec![
-                bench_file("round_kernel", &[("cells.0.arena_speedup", 3.0)]),
+                bench_file("round_kernel", &[("cells.0.spec_speedup", 3.0)]),
                 bench_file("serve_net", &[("accepted_per_sec", 900_000.0)]),
                 bench_file("obs_overhead", &[("cells.0.overhead_percent", 4.4)]),
                 bench_file(
@@ -506,8 +504,8 @@ mod tests {
             }],
             gates: vec![compare(
                 "round_kernel fnv1a:0123",
-                &[("cells.0.arena_speedup".to_string(), 3.0)],
-                &[("cells.0.arena_speedup".to_string(), 1.0)],
+                &[("cells.0.spec_speedup".to_string(), 3.0)],
+                &[("cells.0.spec_speedup".to_string(), 1.0)],
                 &GateConfig::default(),
             )],
         };

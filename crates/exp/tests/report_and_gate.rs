@@ -128,14 +128,14 @@ fn artificially_regressed_run_fails_the_gate_end_to_end() {
         "round_kernel",
         hash,
         "baseline0",
-        &[("cells.0.arena_speedup", 3.0), ("rows.0.avg_wait", 2.0)],
+        &[("cells.0.spec_speedup", 3.0), ("rows.0.avg_wait", 2.0)],
     );
     // 30% speedup loss — twice the default 15% threshold.
     let regressed = record(
         "round_kernel",
         hash,
         "fresh0000",
-        &[("cells.0.arena_speedup", 2.1), ("rows.0.avg_wait", 2.0)],
+        &[("cells.0.spec_speedup", 2.1), ("rows.0.avg_wait", 2.0)],
     );
     let fresh_identity = regressed.identity_hash();
     registry.append(baseline).unwrap();
@@ -151,7 +151,7 @@ fn artificially_regressed_run_fails_the_gate_end_to_end() {
         .failures()
         .map(|c| c.metric.as_str())
         .collect();
-    assert_eq!(failed, ["cells.0.arena_speedup"]);
+    assert_eq!(failed, ["cells.0.spec_speedup"]);
     let _ = std::fs::remove_dir_all(path.parent().unwrap());
 }
 

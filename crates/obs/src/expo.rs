@@ -391,17 +391,8 @@ pub fn render_exposition(expo: &Exposition) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::{set_enabled, Registry};
-    use std::sync::Mutex;
-
-    fn with_telemetry<R>(f: impl FnOnce() -> R) -> R {
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _guard = LOCK.lock().unwrap();
-        set_enabled(true);
-        let out = f();
-        set_enabled(false);
-        out
-    }
+    use crate::registry::Registry;
+    use crate::test_switch::with_telemetry;
 
     /// The exposition golden test: exact expected text for a small
     /// registry.

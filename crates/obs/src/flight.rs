@@ -385,16 +385,7 @@ pub fn install_panic_hook() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::set_enabled;
-
-    fn with_telemetry<R>(f: impl FnOnce() -> R) -> R {
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _guard = LOCK.lock().unwrap();
-        set_enabled(true);
-        let out = f();
-        set_enabled(false);
-        out
-    }
+    use crate::test_switch::{with_telemetry, without_telemetry};
 
     fn sample(round: u64) -> RoundSample {
         RoundSample {
@@ -411,11 +402,12 @@ mod tests {
 
     #[test]
     fn disabled_recorder_records_nothing() {
-        set_enabled(false);
-        let r = FlightRecorder::new();
-        r.record_round(sample(1));
-        r.record_marker(1, "x");
-        assert!(r.events().is_empty());
+        without_telemetry(|| {
+            let r = FlightRecorder::new();
+            r.record_round(sample(1));
+            r.record_marker(1, "x");
+            assert!(r.events().is_empty());
+        });
     }
 
     #[test]

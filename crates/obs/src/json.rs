@@ -64,10 +64,12 @@ pub struct Provenance {
     pub host: String,
     /// `std::thread::available_parallelism()` on that machine.
     pub cores: u64,
-    /// Acceptance-kernel mode, when the run had one (`scalar`, `arena`,
-    /// `arena_simd`, `arena_parallel`).
+    /// Round kernel, when the run had one: `arena` for every current
+    /// writer; records from older builds may carry `scalar`,
+    /// `arena_simd` or `arena_parallel`.
     pub kernel: Option<String>,
-    /// Resolved kernel worker-thread count, when the run had one.
+    /// Kernel worker-thread count, when the run had one (1 for every
+    /// current writer).
     pub threads: Option<u64>,
 }
 

@@ -54,3 +54,35 @@ pub use registry::{
     enabled, global, init_from_env, set_enabled, Counter, Gauge, Histogram, HistogramSnapshot,
     PhaseTimer, Registry, RegistrySnapshot,
 };
+
+/// Serializes the unit tests that depend on the process-wide telemetry
+/// switch: every such test, enabled or disabled path, holds this one
+/// crate-wide lock while it sets the switch and runs.
+#[cfg(test)]
+pub(crate) mod test_switch {
+    use std::sync::{Mutex, MutexGuard};
+
+    static LOCK: Mutex<()> = Mutex::new(());
+
+    fn hold(on: bool) -> MutexGuard<'static, ()> {
+        // A test that panicked while holding the lock poisons it; the
+        // switch is re-set below, so the poison carries no stale state.
+        let guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        crate::set_enabled(on);
+        guard
+    }
+
+    /// Runs `f` with telemetry enabled, then disables it again.
+    pub(crate) fn with_telemetry<R>(f: impl FnOnce() -> R) -> R {
+        let _guard = hold(true);
+        let out = f();
+        crate::set_enabled(false);
+        out
+    }
+
+    /// Runs `f` with telemetry disabled.
+    pub(crate) fn without_telemetry<R>(f: impl FnOnce() -> R) -> R {
+        let _guard = hold(false);
+        f()
+    }
+}

@@ -455,30 +455,22 @@ impl PhaseTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serializes tests that flip the global switch.
-    fn with_telemetry<R>(f: impl FnOnce() -> R) -> R {
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _guard = LOCK.lock().unwrap();
-        set_enabled(true);
-        let out = f();
-        set_enabled(false);
-        out
-    }
+    use crate::test_switch::{with_telemetry, without_telemetry};
 
     #[test]
     fn disabled_probes_record_nothing() {
-        set_enabled(false);
-        let c = Counter::default();
-        let g = Gauge::default();
-        let h = Histogram::default();
-        c.inc();
-        g.set(9);
-        g.record_max(9);
-        h.record(9);
-        assert_eq!(c.get(), 0);
-        assert_eq!(g.get(), 0);
-        assert_eq!(h.snapshot().count, 0);
+        without_telemetry(|| {
+            let c = Counter::default();
+            let g = Gauge::default();
+            let h = Histogram::default();
+            c.inc();
+            g.set(9);
+            g.record_max(9);
+            h.record(9);
+            assert_eq!(c.get(), 0);
+            assert_eq!(g.get(), 0);
+            assert_eq!(h.snapshot().count, 0);
+        });
     }
 
     #[test]
@@ -620,11 +612,12 @@ mod tests {
 
     #[test]
     fn phase_timer_inert_when_disabled() {
-        set_enabled(false);
-        let h = Histogram::default();
-        let t = PhaseTimer::start();
-        t.observe(&h);
-        assert_eq!(h.snapshot().count, 0);
+        without_telemetry(|| {
+            let h = Histogram::default();
+            let t = PhaseTimer::start();
+            t.observe(&h);
+            assert_eq!(h.snapshot().count, 0);
+        });
     }
 
     #[test]

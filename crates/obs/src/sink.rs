@@ -113,17 +113,8 @@ impl<W: io::Write> JsonlSink<W> {
 mod tests {
     use super::*;
     use crate::json::{parse, JsonValue};
-    use crate::registry::{set_enabled, Registry};
-    use std::sync::Mutex;
-
-    fn with_telemetry<R>(f: impl FnOnce() -> R) -> R {
-        static LOCK: Mutex<()> = Mutex::new(());
-        let _guard = LOCK.lock().unwrap();
-        set_enabled(true);
-        let out = f();
-        set_enabled(false);
-        out
-    }
+    use crate::registry::Registry;
+    use crate::test_switch::with_telemetry;
 
     #[test]
     fn telemetry_line_shape() {

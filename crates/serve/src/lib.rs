@@ -95,7 +95,4 @@ pub use net::{
 };
 pub use proto::{CloseReason, Frame, FrameDecoder, ProtoError};
 pub use service::{CappedService, RngMode, ServiceConfig};
-// Re-exported so serve-layer users can pick a round kernel without a
-// direct `iba_core` dependency (`ServiceConfig::with_kernel`).
-pub use iba_core::KernelMode;
 pub use workload::{run_open_loop, OpenLoop, WorkloadSummary};
